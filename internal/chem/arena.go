@@ -3,9 +3,10 @@ package chem
 import "execmodels/internal/linalg"
 
 // ERIScratch is a per-worker scratch arena for the two-electron hot path:
-// the ERI block buffer, the Hermite R / Boys workspace and the small
-// digest accumulators are allocated once and reused for every quartet, so
-// the steady-state Fock build performs zero heap allocations per task.
+// the ERI block buffer with the two-step contraction's intermediates, the
+// Hermite R / Boys workspace and the small digest accumulators are
+// allocated once and reused for every quartet, so the steady-state Fock
+// build performs zero heap allocations per task.
 //
 // A scratch is not safe for concurrent use; each worker goroutine owns
 // its own (see core.wallRun) — the shareiso check proves no scratch
@@ -15,7 +16,7 @@ import "execmodels/internal/linalg"
 //
 //hotpath:isolated
 type ERIScratch struct {
-	blk  []float64 // ERI shell-quartet block buffer
+	buf  []float64 // ERI shell-quartet block, then the W and x intermediates of ERIBlockPairInto
 	kAcc []float64 // per-σ exchange accumulators (one per K matrix)
 	ks   [2]*linalg.Matrix
 	dks  [2]*linalg.Matrix
@@ -23,7 +24,8 @@ type ERIScratch struct {
 }
 
 // NewERIScratch returns a scratch arena pre-sized for the largest shell
-// quartet the basis set can produce.
+// quartet the basis set can produce: block, contraction intermediates
+// and the Hermite R workspace up to total angular momentum 4·maxL.
 func NewERIScratch(bs *BasisSet) *ERIScratch {
 	maxNF, maxL := 1, 0
 	for i := range bs.Shells {
@@ -34,8 +36,9 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 			maxL = l
 		}
 	}
+	nh := hermiteCount(2 * maxL)
 	s := &ERIScratch{
-		blk:  make([]float64, maxNF*maxNF*maxNF*maxNF),
+		buf:  make([]float64, maxNF*maxNF*maxNF*maxNF+maxNF*maxNF*nh+nh*nh),
 		kAcc: make([]float64, 2),
 	}
 	s.rw.grow(4 * maxL)

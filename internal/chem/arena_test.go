@@ -22,10 +22,16 @@ func arenaWorkload(t testing.TB) (*FockWorkload, *linalg.Matrix) {
 	return w, linalg.Identity(bs.NBF)
 }
 
+// baselineTol bounds the fast path's deviation from the retained
+// baseline foil. The two-step ERI contraction sums the same Hermite terms
+// in a different order than the baseline's 9-deep loop, so J/K differ in
+// the last bits (≤ ~5e-15 on this workload); the quartet multiset must
+// still agree exactly.
+const baselineTol = 1e-13
+
 // The arena-backed fast path must reproduce the retained baseline
-// implementation exactly: the digest loop structure is identical, so the
-// floating-point accumulation order — and hence every bit of the result
-// — must agree.
+// implementation: the same quartets digested, and J/K equal up to the
+// ERI kernel's summation order.
 func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -38,10 +44,10 @@ func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 		if doneF != doneB {
 			t.Fatalf("task %d: %d quartets (scratch) vs %d (baseline)", i, doneF, doneB)
 		}
-		if diff := jF.MaxAbsDiff(jB); diff != 0 {
+		if diff := jF.MaxAbsDiff(jB); diff > baselineTol {
 			t.Errorf("task %d: J differs from baseline by %g", i, diff)
 		}
-		if diff := kF.MaxAbsDiff(kB); diff != 0 {
+		if diff := kF.MaxAbsDiff(kB); diff > baselineTol {
 			t.Errorf("task %d: K differs from baseline by %g", i, diff)
 		}
 	}
@@ -97,17 +103,25 @@ func TestExecuteTaskSpinScratchZeroAlloc(t *testing.T) {
 }
 
 // A zero-value scratch must work (growing on demand) so ad-hoc callers
-// like ERIBlockPair stay correct.
+// like ERIBlockPair stay correct, and growing must not change a bit of
+// the result: every task through one zero-value scratch equals the same
+// task through a pre-sized NewScratch arena.
 func TestZeroValueScratch(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
 	var s ERIScratch
-	j, k := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
-	jRef, kRef := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
-	w.ExecuteTaskScratch(&w.Tasks[0], d, j, k, &s)
-	w.ExecuteTaskBaseline(&w.Tasks[0], d, jRef, kRef)
-	if diff := jRef.MaxAbsDiff(j); diff != 0 {
-		t.Errorf("zero-value scratch J differs by %g", diff)
+	sRef := w.NewScratch()
+	for i := range w.Tasks {
+		j, k := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+		jRef, kRef := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+		w.ExecuteTaskScratch(&w.Tasks[i], d, j, k, &s)
+		w.ExecuteTaskScratch(&w.Tasks[i], d, jRef, kRef, sRef)
+		if diff := jRef.MaxAbsDiff(j); diff != 0 {
+			t.Errorf("task %d: zero-value scratch J differs by %g", i, diff)
+		}
+		if diff := kRef.MaxAbsDiff(k); diff != 0 {
+			t.Errorf("task %d: zero-value scratch K differs by %g", i, diff)
+		}
 	}
 }
 

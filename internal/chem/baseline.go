@@ -26,19 +26,34 @@ import (
 // block, fresh Hermite R tables per primitive pair, per-call Cartesian
 // component tables and a π^{5/2} power in the primitive loop.
 
-// eriBlockPairBaseline is the original ERIBlockPair. The result layout
-// matches ERIBlock(bra.A, bra.B, ket.A, ket.B).
+// eriBlockPairBaseline is the original ERIBlockPair: the 9-deep
+// McMurchie–Davidson loop over per-dimension Hermite E tables, which it
+// rebuilds from the primitive indices PairData records. The result
+// layout matches ERIBlock(bra.A, bra.B, ket.A, ket.B).
 func eriBlockPairBaseline(bra, ket *PairData) []float64 {
 	a, b, c, d := bra.A, bra.B, ket.A, ket.B
 	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
 	blk := make([]float64, na*nb*nc*nd)
 	ca, cb, cc, cd := makeComponents(a.L), makeComponents(b.L), makeComponents(c.L), makeComponents(d.L)
 	ltot := a.L + b.L + c.L + d.L
+	ab, cdv := a.Center.Sub(b.Center), c.Center.Sub(d.Center)
+	ketE := make([][3]*hermiteE, len(ket.prims))
+	for i, qq := range ket.prims {
+		ec, ed := c.Exps[qq.ia], d.Exps[qq.ib]
+		ketE[i] = [3]*hermiteE{
+			newHermiteE(c.L, d.L, ec, ed, cdv.X),
+			newHermiteE(c.L, d.L, ec, ed, cdv.Y),
+			newHermiteE(c.L, d.L, ec, ed, cdv.Z),
+		}
+	}
 
 	for _, pp := range bra.prims {
-		e1x, e1y, e1z := pp.ex, pp.ey, pp.ez
-		for _, qq := range ket.prims {
-			e2x, e2y, e2z := qq.ex, qq.ey, qq.ez
+		ea, eb := a.Exps[pp.ia], b.Exps[pp.ib]
+		e1x := newHermiteE(a.L, b.L, ea, eb, ab.X)
+		e1y := newHermiteE(a.L, b.L, ea, eb, ab.Y)
+		e1z := newHermiteE(a.L, b.L, ea, eb, ab.Z)
+		for qi, qq := range ket.prims {
+			e2x, e2y, e2z := ketE[qi][0], ketE[qi][1], ketE[qi][2]
 			alpha := pp.p * qq.p / (pp.p + qq.p)
 			r := newHermiteR(ltot, alpha, pp.P.Sub(qq.P))
 			pref := pp.cab * qq.cab * 2 * math.Pow(math.Pi, 2.5) /

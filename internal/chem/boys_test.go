@@ -101,3 +101,50 @@ func TestBoysShortSlicePanics(t *testing.T) {
 	}()
 	Boys(3, 1, make([]float64, 3))
 }
+
+// The tabulated path (grid + Taylor, x < 35, top order <= 8) must
+// reproduce the power series for every order on a dense x grid that
+// includes the grid points, their midpoints (the largest Taylor step)
+// and the approach to the x = 35 switch. Every order below the top
+// comes from the downward recursion, so each out[k] is checked too.
+func TestBoysTabulatedMatchesSeries(t *testing.T) {
+	var xs []float64
+	for i := 0; i < 35*40; i++ {
+		xs = append(xs, float64(i)*boysTabStep/4) // grid points, quarter- and midpoints
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, rng.Float64()*boysTabXMax)
+	}
+	xs = append(xs, 1e-14, 1e-10, 34.95, 34.95+1e-12, 34.999999, math.Nextafter(boysTabXMax, 0))
+	out := make([]float64, boysTabMaxM+1)
+	var worst float64
+	for _, x := range xs {
+		for m := 0; m <= boysTabMaxM; m++ {
+			Boys(m, x, out)
+			for k := 0; k <= m; k++ {
+				want := boysSeries(k, x)
+				rel := math.Abs(out[k]-want) / want
+				worst = math.Max(worst, rel)
+				if rel > 1e-14 {
+					t.Fatalf("Boys(%d, %v)[%d] = %.17g, series %.17g (rel %.2g)", m, x, k, out[k], want, rel)
+				}
+			}
+		}
+	}
+	t.Logf("worst relative error vs series: %.2g over %d points", worst, len(xs))
+}
+
+// Orders above the table's reach take the series path: the top order is
+// then exactly boysSeries.
+func TestBoysAboveTableUsesSeries(t *testing.T) {
+	out := make([]float64, boysTabMaxM+3)
+	for _, x := range []float64{0.05, 1.23, 7, 20.05, 34.9} {
+		for m := boysTabMaxM + 1; m <= boysTabMaxM+2; m++ {
+			Boys(m, x, out)
+			if want := boysSeries(m, x); out[m] != want {
+				t.Fatalf("Boys(%d, %v) top order = %.17g, want series %.17g", m, x, out[m], want)
+			}
+		}
+	}
+}

@@ -34,10 +34,20 @@ func (e *hermiteE) set(i, j, t int, v float64) {
 //	E_t^{i+1,j} = E_{t-1}^{ij}/(2p) + X_PA E_t^{ij} + (t+1) E_{t+1}^{ij}
 //	E_t^{i,j+1} = E_{t-1}^{ij}/(2p) + X_PB E_t^{ij} + (t+1) E_{t+1}^{ij}
 func newHermiteE(imax, jmax int, a, b, ab float64) *hermiteE {
-	e := &hermiteE{
-		imax: imax,
-		jmax: jmax,
-		data: make([]float64, (imax+1)*(jmax+1)*(imax+jmax+1)),
+	e := &hermiteE{}
+	e.fill(imax, jmax, a, b, ab)
+	return e
+}
+
+// fill rebuilds e in place as newHermiteE(imax, jmax, a, b, ab), reusing
+// its data buffer when large enough. Every entry inside the t <= i+j band
+// is written before it is read, so no zeroing pass is needed.
+func (e *hermiteE) fill(imax, jmax int, a, b, ab float64) {
+	e.imax, e.jmax = imax, jmax
+	if n := (imax + 1) * (jmax + 1) * (imax + jmax + 1); cap(e.data) < n {
+		e.data = make([]float64, n)
+	} else {
+		e.data = e.data[:n]
 	}
 	p := a + b
 	mu := a * b / p
@@ -61,7 +71,6 @@ func newHermiteE(imax, jmax int, a, b, ab float64) *hermiteE {
 			}
 		}
 	}
-	return e
 }
 
 // hermiteR holds the Hermite Coulomb integrals R^0_{tuv}(p, PC) needed to
@@ -79,8 +88,9 @@ func (r *hermiteR) at(t, u, v int) float64 {
 // hermiteRWork is a reusable workspace for Hermite Coulomb integral
 // construction: the Boys-function buffer and the per-order R cubes are
 // retained across calls so the steady-state ERI loop performs no heap
-// allocation per primitive quartet. The zero value is ready to use and
-// grows on demand; grow preallocates for a known maximum order.
+// allocation per primitive quartet. The zero value must be grown to the
+// largest order before compute runs: NewERIScratch pre-sizes it for the
+// basis, and ERIBlockPairInto grows it once per shell quartet.
 //
 // compute's result aliases the workspace and is invalidated by the next
 // compute call, so a workspace must not be shared between goroutines.
@@ -118,62 +128,62 @@ func newHermiteR(tmax int, p float64, pc Vec3) *hermiteR {
 	// A fresh workspace per call: the result owns its data. Hot paths use
 	// hermiteRWork.compute directly to amortize the allocations away.
 	var w hermiteRWork
+	w.grow(tmax)
 	r := w.compute(tmax, p, pc)
 	return &hermiteR{tmax: tmax, data: r.data}
 }
 
 // compute fills the workspace with R^0_{tuv} for all t+u+v <= tmax and
-// returns a view of it. Every entry read by the recurrence (and by at, for
-// indices within tmax) is written before use, so stale data from a
-// previous, larger computation never leaks into the result and no zeroing
-// pass is needed.
+// returns a view of it; the workspace must already be grown to tmax.
+// Every entry read by the recurrence (and by at, for indices within
+// tmax) is written before use, so stale data from a previous, larger
+// computation never leaks into the result and no zeroing pass is needed.
 func (w *hermiteRWork) compute(tmax int, p float64, pc Vec3) *hermiteR {
 	n1 := tmax + 1
-	w.grow(tmax)
 	boysVals := w.boys[:n1]
 	Boys(tmax, p*pc.Norm2(), boysVals)
 
 	// orders[n][t][u][v] at auxiliary order n; a full (tmax+1)^3 cube per
-	// order. tmax stays <= ~8 for d functions so the cubes are small.
-	idx := func(t, u, v int) int { return (t*n1+u)*n1 + v }
-
+	// order, index (t*n1+u)*n1+v. tmax stays <= ~8 for d functions so the
+	// cubes are small.
+	su, st := n1, n1*n1
 	orders := w.orders[:n1]
+	f := 1.0 // (-2p)^n
 	for n := 0; n <= tmax; n++ {
 		orders[n] = orders[n][:n1*n1*n1]
-		f := 1.0
-		for k := 0; k < n; k++ {
-			f *= -2 * p
-		}
-		orders[n][idx(0, 0, 0)] = f * boysVals[n]
+		orders[n][0] = f * boysVals[n]
+		f *= -2 * p
 	}
 
 	// Fill v, then u, then t, consuming auxiliary orders top-down: the
 	// value R^n_{tuv} requires R^{n+1} entries with one lower total index.
+	// An entry with t > 0 recurses on t, else one with u > 0 on u, else
+	// on v.
 	for total := 1; total <= tmax; total++ {
 		for n := 0; n <= tmax-total; n++ {
 			dst, src := orders[n], orders[n+1]
-			for t := 0; t <= total; t++ {
+			// t = u = 0, v = total.
+			val := pc.Z * src[total-1]
+			if total > 1 {
+				val = float64(total-1)*src[total-2] + val
+			}
+			dst[total] = val
+			for u := 1; u <= total; u++ {
+				i := u*su + total - u
+				val := pc.Y * src[i-su]
+				if u > 1 {
+					val = float64(u-1)*src[i-2*su] + val
+				}
+				dst[i] = val
+			}
+			for t := 1; t <= total; t++ {
 				for u := 0; u <= total-t; u++ {
-					v := total - t - u
-					var val float64
-					switch {
-					case t > 0:
-						if t > 1 {
-							val = float64(t-1) * src[idx(t-2, u, v)]
-						}
-						val += pc.X * src[idx(t-1, u, v)]
-					case u > 0:
-						if u > 1 {
-							val = float64(u-1) * src[idx(t, u-2, v)]
-						}
-						val += pc.Y * src[idx(t, u-1, v)]
-					default: // v > 0
-						if v > 1 {
-							val = float64(v-1) * src[idx(t, u, v-2)]
-						}
-						val += pc.Z * src[idx(t, u, v-1)]
+					i := t*st + u*su + total - t - u
+					val := pc.X * src[i-st]
+					if t > 1 {
+						val = float64(t-1)*src[i-2*st] + val
 					}
-					dst[idx(t, u, v)] = val
+					dst[i] = val
 				}
 			}
 		}

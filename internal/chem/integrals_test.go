@@ -300,29 +300,56 @@ func TestOverlapPositiveDefinite(t *testing.T) {
 	}
 }
 
-// The pair-data-cached ERI path must agree exactly with the direct path,
-// including d shells.
+// The pair-data-cached ERI path must agree with the direct path,
+// including d shells: 15 random quartets per basis, then every
+// (la,lb,lc,ld) shell class present in water 6-31G* (up to three
+// quartets each, drawn in a seeded order so the centers vary).
 func TestERIBlockPairMatchesDirect(t *testing.T) {
 	mol := Water()
+	check := func(basis string, bs *BasisSet, i, j, k, l int) {
+		t.Helper()
+		a, b, c, d := &bs.Shells[i], &bs.Shells[j], &bs.Shells[k], &bs.Shells[l]
+		direct := ERIBlock(a, b, c, d)
+		cached := ERIBlockPair(NewPairData(a, b), NewPairData(c, d))
+		if len(direct) != len(cached) {
+			t.Fatalf("%s: block sizes differ", basis)
+		}
+		for x := range direct {
+			if math.Abs(direct[x]-cached[x]) > 1e-13 {
+				t.Fatalf("%s quartet (%d%d|%d%d): element %d differs: %v vs %v",
+					basis, i, j, k, l, x, direct[x], cached[x])
+			}
+		}
+	}
 	for _, basis := range []string{"sto-3g", "6-31g*"} {
 		bs := mustBasis(t, basis, mol)
 		rng := rand.New(rand.NewSource(8))
 		for trial := 0; trial < 15; trial++ {
 			i, j := rng.Intn(len(bs.Shells)), rng.Intn(len(bs.Shells))
 			k, l := rng.Intn(len(bs.Shells)), rng.Intn(len(bs.Shells))
-			a, b, c, d := &bs.Shells[i], &bs.Shells[j], &bs.Shells[k], &bs.Shells[l]
-			direct := ERIBlock(a, b, c, d)
-			cached := ERIBlockPair(NewPairData(a, b), NewPairData(c, d))
-			if len(direct) != len(cached) {
-				t.Fatalf("%s: block sizes differ", basis)
-			}
-			for x := range direct {
-				if math.Abs(direct[x]-cached[x]) > 1e-13 {
-					t.Fatalf("%s quartet (%d%d|%d%d): element %d differs: %v vs %v",
-						basis, i, j, k, l, x, direct[x], cached[x])
-				}
-			}
+			check(basis, bs, i, j, k, l)
 		}
+	}
+
+	bs := mustBasis(t, "6-31g*", mol)
+	n := len(bs.Shells)
+	present := map[int]bool{}
+	for i := range bs.Shells {
+		present[bs.Shells[i].L] = true
+	}
+	perClass := map[[4]int]int{}
+	rng := rand.New(rand.NewSource(9))
+	for _, q := range rng.Perm(n * n * n * n) {
+		i, j, k, l := q/(n*n*n), q/(n*n)%n, q/n%n, q%n
+		cl := [4]int{bs.Shells[i].L, bs.Shells[j].L, bs.Shells[k].L, bs.Shells[l].L}
+		if perClass[cl] == 3 {
+			continue
+		}
+		perClass[cl]++
+		check("6-31g*", bs, i, j, k, l)
+	}
+	if want := len(present) * len(present) * len(present) * len(present); len(perClass) != want {
+		t.Fatalf("covered %d shell classes, want all %d", len(perClass), want)
 	}
 }
 
