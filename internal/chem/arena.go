@@ -16,7 +16,7 @@ import "execmodels/internal/linalg"
 //
 //hotpath:isolated
 type ERIScratch struct {
-	buf  []float64 // ERI shell-quartet block, then the W and x intermediates of ERIBlockPairInto
+	buf  []float64 // ERI shell-quartet block, then the W and x intermediates of eriTwoStep
 	kAcc []float64 // per-σ exchange accumulators (one per K matrix)
 	ks   [2]*linalg.Matrix
 	dks  [2]*linalg.Matrix
@@ -43,6 +43,15 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 	}
 	s.rw.grow(4 * maxL)
 	return s
+}
+
+// floats returns the first n elements of the block buffer, growing it
+// once to the largest quartet class the scratch serves.
+func (s *ERIScratch) floats(n int) []float64 {
+	if cap(s.buf) < n {
+		s.buf = make([]float64, n) //lint:ignore allocfree cold start: the block and contraction buffer grows to the largest quartet class once, then every call reuses it
+	}
+	return s.buf[:n]
 }
 
 // NewScratch returns a scratch arena sized for the workload's basis set.

@@ -1,6 +1,7 @@
 package chem
 
 import (
+	"strconv"
 	"testing"
 
 	"execmodels/internal/linalg"
@@ -9,7 +10,7 @@ import (
 // Per-layer kernel benchmarks. Run with -benchmem: every scratch path
 // below reports 0 allocs/op.
 //
-//	go test -run '^$' -bench 'Boys|ERIBlockPair|BuildFock' -benchmem ./internal/chem
+//	go test -run '^$' -bench 'Boys|HermiteR|ERIBlockPair|ERIClass|BuildFock' -benchmem ./internal/chem
 
 // BenchmarkBoys times one Boys(4, x) call over 64 points spread across
 // [0, 40), covering the tabulated range and the asymptotic branch.
@@ -41,7 +42,9 @@ func firstPair(tb testing.TB, bs *BasisSet, la, lb int) *PairData {
 }
 
 // BenchmarkERIBlockPairInto times one shell quartet per class on water:
-// STO-3G for the s/p classes, 6-31G* for (dd|dd).
+// STO-3G for the s/p classes, 6-31G* for (dd|dd). ssss, psss, ssps,
+// sspp and spsp go through the closed-form class kernels; pppp and dddd
+// through the generic two-step contraction.
 func BenchmarkERIBlockPairInto(b *testing.B) {
 	for _, cl := range []struct {
 		name  string
@@ -50,6 +53,9 @@ func BenchmarkERIBlockPairInto(b *testing.B) {
 	}{
 		{"ssss", "sto-3g", [4]int{0, 0, 0, 0}},
 		{"psss", "sto-3g", [4]int{1, 0, 0, 0}},
+		{"ssps", "sto-3g", [4]int{0, 0, 1, 0}},
+		{"sspp", "sto-3g", [4]int{0, 0, 1, 1}},
+		{"spsp", "sto-3g", [4]int{0, 1, 0, 1}},
 		{"pppp", "sto-3g", [4]int{1, 1, 1, 1}},
 		{"dddd", "6-31g*", [4]int{2, 2, 2, 2}},
 	} {
@@ -62,6 +68,67 @@ func BenchmarkERIBlockPairInto(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ERIBlockPairInto(bra, ket, s)
 			}
+		})
+	}
+}
+
+// BenchmarkHermiteR times the generic Hermite Coulomb recursion (Boys
+// function included) at total angular momentum 1, 2, 4 and 8 — the
+// orders of (ss|sp), (sp|sp), (pp|pp) and (dd|dd) — over 16 points
+// spread across both Boys branches.
+func BenchmarkHermiteR(b *testing.B) {
+	var pts [16]Vec3
+	for i := range pts {
+		f := float64(i) / float64(len(pts))
+		pts[i] = Vec3{X: 3 * f, Y: 1 - 2*f, Z: 0.5 * f}
+	}
+	for _, l := range []int{1, 2, 4, 8} {
+		b.Run(strconv.Itoa(l), func(b *testing.B) {
+			var w hermiteRWork
+			w.grow(l)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.compute(l, 2.5, pts[i%len(pts)])
+			}
+		})
+	}
+}
+
+// BenchmarkERIClass times every surviving quartet of a serial
+// (H2O)4/STO-3G build (screening 1e-10), grouped by total angular
+// momentum, and reports ns per primitive quartet actually evaluated:
+// L0 is (ss|ss), L1 every (ss|sp) orientation, L2 the (ss|pp) and
+// (sp|sp) families, L3 (sp|pp), L4 (pp|pp).
+func BenchmarkERIClass(b *testing.B) {
+	bs := mustBasis(b, "sto-3g", WaterCluster(4, 1))
+	w := BuildFockWorkload(bs, 1e-10, 4)
+	type quartet struct{ bra, ket *PairData }
+	var byL [5][]quartet
+	var prims [5]int
+	for ti := range w.Tasks {
+		t := &w.Tasks[ti]
+		for bi, kets := range t.Kets {
+			bra := w.pairData[t.PairOffset+bi]
+			for _, ki := range kets {
+				ket := w.pairData[ki]
+				l := bra.A.L + bra.B.L + ket.A.L + ket.B.L
+				byL[l] = append(byL[l], quartet{bra, ket})
+				prims[l] += len(bra.prims) * len(ket.prims)
+			}
+		}
+	}
+	for l, qs := range byL {
+		b.Run("L"+strconv.Itoa(l), func(b *testing.B) {
+			s := w.NewScratch()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					ERIBlockPairInto(q.bra, q.ket, s)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prims[l]), "ns/primquartet")
+			b.ReportMetric(float64(prims[l]), "primquartets")
 		})
 	}
 }

@@ -13,7 +13,7 @@ import "math"
 // to the power series), and lower orders follow from the numerically
 // stable downward recursion F_m = (2x·F_{m+1} + e^{-x}) / (2m+1). For
 // large x the asymptotic form of F_0 seeds the upward recursion, which is
-// stable there because e^{-x} is negligible.
+// stable there; F_0 alone, the only order (ss|ss) needs, skips e^{-x}.
 func Boys(mmax int, x float64, out []float64) {
 	if len(out) < mmax+1 {
 		panic("chem: Boys output slice too short")
@@ -35,6 +35,9 @@ func Boys(mmax int, x float64, out []float64) {
 		}
 	default:
 		out[0] = 0.5 * math.Sqrt(math.Pi/x)
+		if mmax == 0 {
+			return
+		}
 		ex := math.Exp(-x) // ~0 but keep for x just above the cutoff
 		for m := 0; m < mmax; m++ {
 			out[m+1] = (float64(2*m+1)*out[m] - ex) / (2 * x)

@@ -148,3 +148,34 @@ func TestBoysAboveTableUsesSeries(t *testing.T) {
 		}
 	}
 }
+
+// The asymptotic branch (x >= 35) must match the power series for every
+// order up to 8: F_0 alone returns without e^{-x}, but the upward
+// recursion needs the e^{-x} term from m >= 1 on, where dropping it
+// would cost ~2e-8 relative by m = 8 at x = 35.
+func TestBoysAsymptoticMatchesSeries(t *testing.T) {
+	var xs []float64
+	for i := 0; i <= 45*8; i++ {
+		xs = append(xs, boysTabXMax+float64(i)/8)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		xs = append(xs, boysTabXMax+45*rng.Float64())
+	}
+	out := make([]float64, boysTabMaxM+1)
+	var worst float64
+	for _, x := range xs {
+		for m := 0; m <= boysTabMaxM; m++ {
+			Boys(m, x, out)
+			for k := 0; k <= m; k++ {
+				want := boysSeries(k, x)
+				rel := math.Abs(out[k]-want) / want
+				worst = math.Max(worst, rel)
+				if rel > 1e-13 {
+					t.Fatalf("Boys(%d, %v)[%d] = %.17g, series %.17g (rel %.2g)", m, x, k, out[k], want, rel)
+				}
+			}
+		}
+	}
+	t.Logf("worst relative error vs series on [35, 80]: %.2g over %d points", worst, len(xs))
+}

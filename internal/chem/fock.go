@@ -254,7 +254,8 @@ type FockWorkload struct {
 	Threshold float64
 
 	// pairData caches the per-pair Hermite tables aligned with Pairs:
-	// computed once, reused by every quartet the pair participates in.
+	// computed and primitive-screened once, reused by every quartet the
+	// pair participates in and shared by Reblock.
 	pairData []*PairData
 }
 
@@ -269,6 +270,10 @@ func BuildFockWorkload(bs *BasisSet, threshold float64, blockSize int) *FockWork
 // BuildFockWorkloadFromPairs is BuildFockWorkload with precomputed Schwarz
 // bounds, so granularity sweeps can re-block the same screening data
 // without recomputing the (ij|ij) integrals each time.
+//
+// Screening also reaches below the shell pairs: each significant pair
+// keeps only the primitive pairs above primPairCut(allPairs, threshold),
+// so threshold 0 keeps every primitive.
 func BuildFockWorkloadFromPairs(bs *BasisSet, allPairs []ShellPair, threshold float64, blockSize int) *FockWorkload {
 	if blockSize < 1 {
 		panic("chem: blockSize must be >= 1")
@@ -283,11 +288,36 @@ func BuildFockWorkloadFromPairs(bs *BasisSet, allPairs []ShellPair, threshold fl
 	})
 	w := &FockWorkload{Basis: bs, Pairs: pairs, Threshold: threshold}
 	w.pairData = make([]*PairData, len(pairs))
+	cut := primPairCut(allPairs, threshold)
 	for i, p := range pairs {
 		w.pairData[i] = NewPairData(&bs.Shells[p.I], &bs.Shells[p.J])
+		w.pairData[i].prune(cut)
 	}
 	w.blockTasks(blockSize)
 	return w
+}
+
+// primScreenFactor scales the Schwarz threshold into the primitive-pair
+// cut: a primitive pair is dropped only when its bound, times the
+// largest shell-pair bound of the basis, falls four orders of magnitude
+// below the quartet threshold.
+const primScreenFactor = 1e-4
+
+// primPairCut is the primitive-pair screening cut tied to the quartet
+// threshold, with no knob of its own: a primitive pair whose bound Q_p
+// (PairData.primBound) satisfies Q_p · max Q < primScreenFactor ·
+// threshold changes any quartet it enters by about primScreenFactor ·
+// threshold at most, so it is dropped before any ERI is evaluated.
+// Threshold 0 gives cut 0, which prunes nothing.
+func primPairCut(pairs []ShellPair, threshold float64) float64 {
+	var qmax float64
+	for _, p := range pairs {
+		qmax = math.Max(qmax, p.Bound)
+	}
+	if threshold <= 0 || qmax == 0 {
+		return 0
+	}
+	return primScreenFactor * threshold / qmax
 }
 
 // blockTasks (re)builds the task decomposition at the given bra-pair
@@ -349,8 +379,9 @@ func (w *FockWorkload) Reblock(blockSize int) *FockWorkload {
 	return nw
 }
 
-// WorkloadStats summarizes how much work symmetry folding and Schwarz
-// screening removed before any task reached a scheduler.
+// WorkloadStats summarizes how much work symmetry folding, Schwarz
+// screening and primitive-pair screening removed before any task reached
+// a scheduler.
 type WorkloadStats struct {
 	Shells           int   // basis shells N
 	AllPairs         int   // N(N+1)/2 candidate shell pairs
@@ -358,6 +389,8 @@ type WorkloadStats struct {
 	NaiveQuartets    int64 // N^4 ordered quartets of the symmetry-free loop
 	UniqueQuartets   int64 // canonical quartets before screening: M(M+1)/2, M = AllPairs
 	Surviving        int64 // unique quartets surviving Schwarz screening (sum of task NumQuarts)
+	PrimPairs        int64 // primitive pairs kept over the significant shell pairs, after pruning
+	PrimQuartets     int64 // primitive quartets the surviving quartets evaluate: Σ bra prims × ket prims
 }
 
 // Stats returns the workload's symmetry/screening accounting.
@@ -371,8 +404,18 @@ func (w *FockWorkload) Stats() WorkloadStats {
 		NaiveQuartets:    n * n * n * n,
 		UniqueQuartets:   m * (m + 1) / 2,
 	}
+	for _, pd := range w.pairData {
+		st.PrimPairs += int64(len(pd.prims))
+	}
 	for i := range w.Tasks {
-		st.Surviving += int64(w.Tasks[i].NumQuarts)
+		t := &w.Tasks[i]
+		st.Surviving += int64(t.NumQuarts)
+		for bi, kets := range t.Kets {
+			nb := int64(len(w.pairData[t.PairOffset+bi].prims))
+			for _, ki := range kets {
+				st.PrimQuartets += nb * int64(len(w.pairData[ki].prims))
+			}
+		}
 	}
 	return st
 }
