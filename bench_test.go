@@ -174,21 +174,6 @@ func BenchmarkSCFWaterSTO3G(b *testing.B) {
 	}
 }
 
-func BenchmarkEigenSym(b *testing.B) {
-	m := linalg.NewMatrix(40, 40)
-	for i := 0; i < 40; i++ {
-		for j := 0; j <= i; j++ {
-			v := 1 / float64(i+j+1)
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.EigenSym(m)
-	}
-}
-
 func BenchmarkDequeOwnerOps(b *testing.B) {
 	var d deque.Deque
 	for i := 0; i < b.N; i++ {

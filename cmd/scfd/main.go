@@ -73,7 +73,7 @@ func main() {
 	}
 	s.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := newHTTPServer(*addr, s.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -99,6 +99,28 @@ func main() {
 	}
 	log.Printf("scfd: drained cleanly")
 	os.Exit(0)
+}
+
+// Connection timeouts of the HTTP listener. A client gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is closed after idleTimeout, so slow or stalled clients
+// cannot hold connections forever. There is deliberately no read or
+// write timeout on the whole request: job-progress streams stay open for
+// the length of an SCF run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the scfd HTTP server for handler h on addr, with
+// the connection timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // parseWeights parses "tenant=weight,tenant=weight".

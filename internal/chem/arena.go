@@ -16,11 +16,10 @@ import "execmodels/internal/linalg"
 //
 //hotpath:isolated
 type ERIScratch struct {
-	buf  []float64 // ERI shell-quartet block, then the W and x intermediates of eriTwoStep
-	kAcc []float64 // per-σ exchange accumulators (one per K matrix)
-	ks   [2]*linalg.Matrix
-	dks  [2]*linalg.Matrix
-	rw   hermiteRWork
+	buf []float64 // ERI shell-quartet block, then the W and x intermediates of eriTwoStep
+	ks  [2]*linalg.Matrix
+	dks [2]*linalg.Matrix
+	rw  hermiteRWork
 }
 
 // NewERIScratch returns a scratch arena pre-sized for the largest shell
@@ -38,8 +37,7 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 	}
 	nh := hermiteCount(2 * maxL)
 	s := &ERIScratch{
-		buf:  make([]float64, maxNF*maxNF*maxNF*maxNF+maxNF*maxNF*nh+nh*nh),
-		kAcc: make([]float64, 2),
+		buf: make([]float64, maxNF*maxNF*maxNF*maxNF+maxNF*maxNF*nh+nh*nh),
 	}
 	s.rw.grow(4 * maxL)
 	return s
@@ -65,9 +63,12 @@ func (w *FockWorkload) NewScratch() *ERIScratch {
 // plus one exchange matrix per spin channel (KB nil for spin-restricted
 // builds). Executors hand each worker one JKAccum, let it digest its
 // tasks allocation-free, and fold the accumulators into the shared
-// matrices only after every worker has finished — the symmetric digest
-// scatters into all eight J/K slots of a quartet, so workers must never
-// share an accumulator mid-build (see core's post-wg.Wait merge).
+// matrices only after every worker has finished — the one-pass digest
+// writes J/K rows and columns of all four shells of a quartet, so
+// workers must never share an accumulator mid-build (see core's
+// post-wg.Wait merge). The accumulated J/K are not symmetric: their
+// symmetric part ½(X+Xᵀ) is the contribution, and the Fock assembly
+// symmetrizes once after the merge.
 type JKAccum struct {
 	J, KA, KB *linalg.Matrix
 	Scratch   *ERIScratch
@@ -92,7 +93,8 @@ func (w *FockWorkload) NewJKAccum(spin bool) *JKAccum {
 // contraction when a.KB is nil (dj feeds J, dkA the single K), otherwise
 // the unrestricted one (dj = total density, dkA/dkB the per-spin
 // exchange densities). It is the single entry point the wall-clock
-// worker loop uses for both spin shapes.
+// worker loop uses for both spin shapes. As with ExecuteTask, the
+// symmetric part of what it accumulates is the task's J/K.
 //
 //hotpath:allocfree
 func (w *FockWorkload) ExecuteTaskAccum(t *FockTask, dj, dkA, dkB *linalg.Matrix, a *JKAccum) int {

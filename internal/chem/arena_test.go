@@ -31,7 +31,10 @@ const baselineTol = 1e-13
 
 // The arena-backed fast path must reproduce the retained baseline
 // implementation: the same quartets digested, and J/K equal up to the
-// ERI kernel's summation order.
+// ERI kernel's summation order. The one-pass digest accumulates J/K
+// whose symmetric part is the contribution, so the fast path's
+// matrices are symmetrized before the comparison; the baseline's
+// 8-permutation scatter is symmetric already.
 func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -44,6 +47,8 @@ func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 		if doneF != doneB {
 			t.Fatalf("task %d: %d quartets (scratch) vs %d (baseline)", i, doneF, doneB)
 		}
+		jF.Symmetrize()
+		kF.Symmetrize()
 		if diff := jF.MaxAbsDiff(jB); diff > baselineTol {
 			t.Errorf("task %d: J differs from baseline by %g", i, diff)
 		}
@@ -125,26 +130,25 @@ func TestZeroValueScratch(t *testing.T) {
 	}
 }
 
-// quartetPermutationsInto must agree with the map-based enumeration it
-// replaced, in content and first-occurrence order, for every equality
-// pattern of shell indices.
-func TestQuartetPermutationsIntoMatchesMapBased(t *testing.T) {
-	cases := [][4]int{
-		{0, 0, 0, 0}, {0, 1, 2, 3}, {0, 0, 1, 1}, {0, 1, 0, 1},
-		{0, 1, 1, 0}, {2, 2, 2, 3}, {3, 2, 2, 2}, {5, 5, 7, 7},
-		{1, 2, 2, 1}, {4, 4, 4, 9},
-	}
-	for _, c := range cases {
-		want := quartetPermutations(c[0], c[1], c[2], c[3])
-		var got [8][4]int
-		n := quartetPermutationsInto(c[0], c[1], c[2], c[3], &got)
-		if n != len(want) {
-			t.Errorf("%v: %d permutations, want %d", c, n, len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%v: perm %d = %v, want %v", c, i, got[i], want[i])
+// quartetDegeneracy must count exactly the distinct permutations the
+// map-based enumeration produces, for every canonical quartet (both pairs
+// ascending, bra pair index >= ket pair index) over five shells — every
+// equality pattern the task generator can emit. The one-pass digest's
+// scale factors stand in for that list.
+func TestQuartetDegeneracyMatchesPermutations(t *testing.T) {
+	const shells = 5
+	for b := 0; b < shells; b++ {
+		for a := 0; a <= b; a++ {
+			for d := 0; d < shells; d++ {
+				for c := 0; c <= d; c++ {
+					if pairIndex(c, d) > pairIndex(a, b) {
+						continue
+					}
+					want := len(quartetPermutations(a, b, c, d))
+					if got := quartetDegeneracy(a, b, c, d); got != float64(want) {
+						t.Errorf("(%d%d|%d%d): degeneracy %v, want %d", a, b, c, d, got, want)
+					}
+				}
 			}
 		}
 	}

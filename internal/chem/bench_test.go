@@ -10,7 +10,7 @@ import (
 // Per-layer kernel benchmarks. Run with -benchmem: every scratch path
 // below reports 0 allocs/op.
 //
-//	go test -run '^$' -bench 'Boys|HermiteR|ERIBlockPair|ERIClass|BuildFock' -benchmem ./internal/chem
+//	go test -run '^$' -bench 'Boys|HermiteR|ERIBlockPair|ERIClass|Digest|JKMerge|BuildFock' -benchmem ./internal/chem
 
 // BenchmarkBoys times one Boys(4, x) call over 64 points spread across
 // [0, 40), covering the tabulated range and the asymptotic branch.
@@ -130,6 +130,65 @@ func BenchmarkERIClass(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prims[l]), "ns/primquartet")
 			b.ReportMetric(float64(prims[l]), "primquartets")
 		})
+	}
+}
+
+// BenchmarkDigest times the one-pass J/K digest of one shell-quartet
+// block per class, restricted (J and one K) and unrestricted (J, Kα and
+// Kβ). The quartet takes the first four distinct shells of the class on
+// (H2O)4 — STO-3G for (ss|ss) and (pp|pp), 6-31G* for (dd|dd) — so it
+// has the generic degeneracy 8 that most quartets of a build carry.
+func BenchmarkDigest(b *testing.B) {
+	for _, cl := range []struct {
+		name  string
+		basis string
+		l     int
+	}{
+		{"ssss", "sto-3g", 0},
+		{"pppp", "sto-3g", 1},
+		{"dddd", "6-31g*", 2},
+	} {
+		bs := mustBasis(b, cl.basis, WaterCluster(4, 1))
+		var q []int
+		for i := range bs.Shells {
+			if bs.Shells[i].L == cl.l && len(q) < 4 {
+				q = append(q, i)
+			}
+		}
+		blk := ERIBlock(&bs.Shells[q[0]], &bs.Shells[q[1]], &bs.Shells[q[2]], &bs.Shells[q[3]])
+		n := bs.NBF
+		d := linalg.Identity(n)
+		j := linalg.NewMatrix(n, n)
+		ks := []*linalg.Matrix{linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)}
+		dks := []*linalg.Matrix{d, d}
+		for _, spin := range []struct {
+			name string
+			nk   int
+		}{{"rhf", 1}, {"uhf", 2}} {
+			b.Run(cl.name+"/"+spin.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					digestOnePass(j, d, ks[:spin.nk], dks[:spin.nk], bs.Shells, q[0], q[1], q[2], q[3], blk)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkJKMerge times folding one worker's restricted accumulator
+// (J and K) into the shared matrices, JKAccum.MergeInto, at the
+// (H2O)2/6-31G* dimension (NBF 38): the per-worker cost every parallel
+// Fock build pays after its workers stop.
+func BenchmarkJKMerge(b *testing.B) {
+	bs := mustBasis(b, "6-31g*", WaterCluster(2, 1))
+	w := BuildFockWorkload(bs, 1e-10, 4)
+	n := bs.NBF
+	acc := w.NewJKAccum(false)
+	j, k := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.MergeInto(j, k, nil)
 	}
 }
 

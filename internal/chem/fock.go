@@ -8,192 +8,87 @@ import (
 	"execmodels/internal/linalg"
 )
 
-// eriGetter returns the integral (ab|cd) for function offsets within a
-// permuted view of a shell-quartet block.
-type eriGetter func(fa, fb, fc, fd int) float64
+// quartetDegeneracy is the number of distinct shell-index permutations
+// of the unique quartet (a,b,c,d) under the 8-fold integral symmetry —
+// the length of quartetPermutations(a, b, c, d) for every canonical
+// quartet the task generator emits.
+func quartetDegeneracy(a, b, c, d int) float64 {
+	deg := 1.0
+	if a != b {
+		deg *= 2
+	}
+	if c != d {
+		deg *= 2
+	}
+	if a != c || b != d {
+		deg *= 2
+	}
+	return deg
+}
 
-// digestJK scatters one ordered shell-quartet block into the Coulomb (J)
-// and exchange (K) accumulators:
+// digestOnePass digests the precomputed ERI block of the unique quartet
+// in one walk over the block, scaling each integral by the quartet's
+// degeneracy instead of visiting its permutations. Every integral
+// v = (μν|λσ) makes two Coulomb and, per exchange matrix, four exchange
+// updates:
 //
-//	J[μν] += DJ[λσ]·(μν|λσ)      K_i[μλ] += DK_i[νσ]·(μν|λσ)
+//	J[μν] += ½deg·DJ[λσ]·v    J[λσ] += ½deg·DJ[μν]·v
+//	K[μλ] += ¼deg·DK[νσ]·v    K[νλ] += ¼deg·DK[μσ]·v
+//	K[μσ] += ¼deg·DK[νλ]·v    K[νσ] += ¼deg·DK[μλ]·v
 //
-// with μ∈a, ν∈b, λ∈c, σ∈d. The Coulomb and exchange terms may contract
-// different densities (RHF uses the same one; UHF contracts the total
-// density for J and the per-spin densities for the two Ks). Callers are
-// responsible for enumerating every distinct shell-index permutation of a
-// unique quartet exactly once, which together reproduces the full
-// unrestricted contraction.
-func digestJK(j *linalg.Matrix, dj *linalg.Matrix, ks, dks []*linalg.Matrix, a, b, c, dd *Shell, get eriGetter) {
-	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), dd.NumFuncs()
-	kAcc := make([]float64, len(ks))
+// Each update goes to one slot of a mirror pair (J[μν] but not J[νμ]),
+// with the weight of both, so the result is not symmetric; its
+// symmetric part ½(X+Xᵀ) equals what digestUniqueQuartet's permutation
+// scatter produces for symmetric densities. Every Fock assembly
+// symmetrizes once, after all quartets are in. J[μν], K[μλ] and K[νλ]
+// sum in registers across the σ loop; the three σ-indexed updates walk
+// contiguous rows of the row-major matrices. shells, ia..id and blk are
+// as in digestUniqueQuartet.
+//
+//hotpath:allocfree
+func digestOnePass(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells []Shell, ia, ib, ic, id int, blk []float64) {
+	a, b, c, d := &shells[ia], &shells[ib], &shells[ic], &shells[id]
+	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
+	deg := quartetDegeneracy(ia, ib, ic, id)
+	hJ, qK := 0.5*deg, 0.25*deg
+	n := j.Cols
 	for fa := 0; fa < na; fa++ {
 		mu := a.Start + fa
+		rowM := mu*n + d.Start
 		for fb := 0; fb < nb; fb++ {
 			nu := b.Start + fb
+			rowN := nu*n + d.Start
+			cJ := hJ * dj.Data[mu*n+nu]
 			var jAcc float64
 			for fc := 0; fc < nc; fc++ {
 				lam := c.Start + fc
-				for i := range kAcc {
-					kAcc[i] = 0
+				off := ((fa*nb+fb)*nc + fc) * nd
+				v := blk[off : off+nd]
+				rowL := lam*n + d.Start
+				djL := dj.Data[rowL : rowL+len(v)]
+				jL := j.Data[rowL : rowL+len(v)]
+				for fd, x := range v {
+					jAcc += djL[fd] * x
+					jL[fd] += cJ * x
 				}
-				for fd := 0; fd < nd; fd++ {
-					sig := dd.Start + fd
-					v := get(fa, fb, fc, fd)
-					jAcc += dj.At(lam, sig) * v
-					for i, dk := range dks {
-						kAcc[i] += dk.At(nu, sig) * v
+				for s, k := range ks {
+					dk := dks[s].Data
+					dkM, dkN := dk[rowM:rowM+len(v)], dk[rowN:rowN+len(v)]
+					kM, kN := k.Data[rowM:rowM+len(v)], k.Data[rowN:rowN+len(v)]
+					cM, cN := qK*dk[nu*n+lam], qK*dk[mu*n+lam]
+					var kML, kNL float64
+					for fd, x := range v {
+						kML += dkN[fd] * x
+						kNL += dkM[fd] * x
+						kM[fd] += cM * x
+						kN[fd] += cN * x
 					}
-				}
-				for i, k := range ks {
-					k.Add(mu, lam, kAcc[i])
-				}
-			}
-			j.Add(mu, nu, jAcc)
-		}
-	}
-}
-
-// quartetPermutations enumerates the distinct shell-index permutations of
-// the unique quartet (a,b,c,d) under the 8-fold integral symmetry
-// (ab|cd) = (ba|cd) = (ab|dc) = (ba|dc) = (cd|ab) = (dc|ab) = (cd|ba) = (dc|ba).
-// Each permutation is returned as the four original-block roles for the
-// (bra1, bra2, ket1, ket2) positions: e.g. [1 0 2 3] means the permuted
-// view is (ba|cd) and its (fa,fb,fc,fd) element reads the original block
-// at (fb,fa,fc,fd).
-func quartetPermutations(a, b, c, d int) [][4]int {
-	all := [][4]int{
-		{0, 1, 2, 3}, {1, 0, 2, 3}, {0, 1, 3, 2}, {1, 0, 3, 2},
-		{2, 3, 0, 1}, {3, 2, 0, 1}, {2, 3, 1, 0}, {3, 2, 1, 0},
-	}
-	ids := [4]int{a, b, c, d}
-	seen := make(map[[4]int]bool, 8)
-	var out [][4]int
-	for _, p := range all {
-		key := [4]int{ids[p[0]], ids[p[1]], ids[p[2]], ids[p[3]]}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// digestUniqueQuartet digests the precomputed ERI block of the unique
-// quartet, scattering every distinct permutation into J and the K
-// accumulators. shells is the full shell list; ia..id index into it; blk
-// is laid out as ERIBlock(ia, ib, ic, id).
-//
-// This closure-based form allocates per call; it survives as the
-// ExecuteTaskBaseline path, while the hot path uses
-// digestUniqueQuartetStrides.
-func digestUniqueQuartet(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells []Shell, ia, ib, ic, id int, blk []float64) {
-	sh := [4]*Shell{&shells[ia], &shells[ib], &shells[ic], &shells[id]}
-	nb, nc, nd := sh[1].NumFuncs(), sh[2].NumFuncs(), sh[3].NumFuncs()
-	orig := func(fa, fb, fc, fd int) float64 {
-		return blk[((fa*nb+fb)*nc+fc)*nd+fd]
-	}
-	for _, p := range quartetPermutations(ia, ib, ic, id) {
-		p := p
-		get := func(fa, fb, fc, fd int) float64 {
-			f := [4]int{fa, fb, fc, fd}
-			// Position i of the permuted view holds original role p[i]; to
-			// read the original block we place each permuted index back
-			// into its original role.
-			var g [4]int
-			g[p[0]], g[p[1]], g[p[2]], g[p[3]] = f[0], f[1], f[2], f[3]
-			return orig(g[0], g[1], g[2], g[3])
-		}
-		digestJK(j, dj, ks, dks, sh[p[0]], sh[p[1]], sh[p[2]], sh[p[3]], get)
-	}
-}
-
-// quartetPerms8 is the 8-fold symmetry group in the fixed enumeration
-// order the digest relies on.
-var quartetPerms8 = [8][4]int{
-	{0, 1, 2, 3}, {1, 0, 2, 3}, {0, 1, 3, 2}, {1, 0, 3, 2},
-	{2, 3, 0, 1}, {3, 2, 0, 1}, {2, 3, 1, 0}, {3, 2, 1, 0},
-}
-
-// quartetPermutationsInto is quartetPermutations without the map and
-// slice allocations: distinct permutations are written to out (in the
-// same first-occurrence order) and their count returned.
-func quartetPermutationsInto(a, b, c, d int, out *[8][4]int) int {
-	ids := [4]int{a, b, c, d}
-	var keys [8][4]int
-	n := 0
-	for _, p := range quartetPerms8 {
-		key := [4]int{ids[p[0]], ids[p[1]], ids[p[2]], ids[p[3]]}
-		dup := false
-		for i := 0; i < n; i++ {
-			if keys[i] == key {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keys[n] = key
-			out[n] = p
-			n++
-		}
-	}
-	return n
-}
-
-// digestJKStrides is digestJK with the permuted block view expressed as
-// index strides instead of a closure: element (fa,fb,fc,fd) of the view
-// lives at blk[fa*sa+fb*sb+fc*sc+fd*sd]. The loop structure (and hence
-// the floating-point accumulation order) is identical to digestJK; only
-// the per-element closure dispatch and the kAcc allocation are gone.
-//
-//hotpath:allocfree
-func digestJKStrides(j *linalg.Matrix, dj *linalg.Matrix, ks, dks []*linalg.Matrix, kAcc []float64, a, b, c, dd *Shell, blk []float64, sa, sb, sc, sd int) {
-	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), dd.NumFuncs()
-	for fa := 0; fa < na; fa++ {
-		mu := a.Start + fa
-		baseA := fa * sa
-		for fb := 0; fb < nb; fb++ {
-			nu := b.Start + fb
-			baseAB := baseA + fb*sb
-			var jAcc float64
-			for fc := 0; fc < nc; fc++ {
-				lam := c.Start + fc
-				for i := range kAcc {
-					kAcc[i] = 0
-				}
-				baseABC := baseAB + fc*sc
-				for fd := 0; fd < nd; fd++ {
-					sig := dd.Start + fd
-					v := blk[baseABC+fd*sd]
-					jAcc += dj.At(lam, sig) * v
-					for i, dk := range dks {
-						kAcc[i] += dk.At(nu, sig) * v
-					}
-				}
-				for i, k := range ks {
-					k.Add(mu, lam, kAcc[i])
+					k.Data[mu*n+lam] += qK * kML
+					k.Data[nu*n+lam] += qK * kNL
 				}
 			}
-			j.Add(mu, nu, jAcc)
+			j.Data[mu*n+nu] += hJ * jAcc
 		}
-	}
-}
-
-// digestUniqueQuartetStrides is the allocation-free digestUniqueQuartet:
-// permutations are enumerated into a stack array and each permuted view
-// is digested through precomputed strides. kAcc is caller-provided
-// scratch of length len(ks).
-//
-//hotpath:allocfree
-func digestUniqueQuartetStrides(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, kAcc []float64, shells []Shell, ia, ib, ic, id int, blk []float64) {
-	sh := [4]*Shell{&shells[ia], &shells[ib], &shells[ic], &shells[id]}
-	nb, nc, nd := sh[1].NumFuncs(), sh[2].NumFuncs(), sh[3].NumFuncs()
-	strides := [4]int{nb * nc * nd, nc * nd, nd, 1}
-	var perms [8][4]int
-	np := quartetPermutationsInto(ia, ib, ic, id, &perms)
-	for pi := 0; pi < np; pi++ {
-		p := perms[pi]
-		digestJKStrides(j, dj, ks, dks, kAcc, sh[p[0]], sh[p[1]], sh[p[2]], sh[p[3]], blk,
-			strides[p[0]], strides[p[1]], strides[p[2]], strides[p[3]])
 	}
 }
 
@@ -426,6 +321,13 @@ func (w *FockWorkload) Stats() WorkloadStats {
 // quartet multiset was resolved at generation time into the Kets lists
 // (each unique quartet appears on exactly one task).
 //
+// The accumulated J and K are not symmetric: the task's contribution is
+// their symmetric part ½(X+Xᵀ) (see digestOnePass). Symmetrization is
+// linear, so callers sum raw J/K over tasks and workers and symmetrize
+// once; every Fock assembly (BuildFock, RunUHF, core's wall-clock and
+// distributed builds) does so. The same holds for ExecuteTaskScratch,
+// ExecuteTaskSpin, ExecuteTaskSpinScratch and ExecuteTaskAccum.
+//
 // Each call sets up a fresh scratch arena; loops over many tasks should
 // use ExecuteTaskScratch with a single arena per worker instead.
 func (w *FockWorkload) ExecuteTask(t *FockTask, d, j, k *linalg.Matrix) int {
@@ -445,7 +347,8 @@ func (w *FockWorkload) ExecuteTaskScratch(t *FockTask, d, j, k *linalg.Matrix, s
 
 // ExecuteTaskSpin is the unrestricted (UHF) variant: J contracts the
 // total density while separate exchange matrices contract the α and β
-// densities.
+// densities. Like ExecuteTask, it accumulates J/Kα/Kβ whose symmetric
+// parts are the contribution.
 func (w *FockWorkload) ExecuteTaskSpin(t *FockTask, dTot, dA, dB, j, kA, kB *linalg.Matrix) int {
 	return w.ExecuteTaskSpinScratch(t, dTot, dA, dB, j, kA, kB, w.NewScratch())
 }
@@ -463,22 +366,18 @@ func (w *FockWorkload) ExecuteTaskSpinScratch(t *FockTask, dTot, dA, dB, j, kA, 
 // executeTask digests every quartet on the task's pre-screened Kets
 // lists. No Schwarz bound is evaluated here — the surviving quartet
 // multiset was fixed at task-generation time (blockTasks), so the worker
-// loop is pure compute: ERI block, symmetric digest, next.
+// loop is pure compute: ERI block, one-pass digest, next.
 //
 //hotpath:allocfree
 func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*linalg.Matrix, j *linalg.Matrix, s *ERIScratch) int {
 	shells := w.Basis.Shells
-	if cap(s.kAcc) < len(ks) {
-		s.kAcc = make([]float64, len(ks)) //lint:ignore allocfree cold start: kAcc is sized once per arena for the K-matrix count and reused by every task
-	}
-	kAcc := s.kAcc[:len(ks)]
 	var done int
 	for bi, bra := range t.BraPairs {
 		braPD := w.pairData[t.PairOffset+bi]
 		for _, ki := range t.Kets[bi] {
 			ket := &w.Pairs[ki]
 			blk := ERIBlockPairInto(braPD, w.pairData[ki], s)
-			digestUniqueQuartetStrides(j, dj, ks, dks, kAcc, shells, bra.I, bra.J, ket.I, ket.J, blk)
+			digestOnePass(j, dj, ks, dks, shells, bra.I, bra.J, ket.I, ket.J, blk)
 			done++
 		}
 	}
@@ -535,7 +434,7 @@ func (w *FockWorkload) BuildFock(h, d *linalg.Matrix) *linalg.Matrix {
 	f := h.Clone()
 	f.AddScaled(1, j)
 	f.AddScaled(-0.5, k)
-	// Screening drops tiny asymmetric contributions; restore exact symmetry.
+	// The one-pass digest leaves J/K whose symmetric part is the result.
 	f.Symmetrize()
 	return f
 }

@@ -72,6 +72,21 @@ type SCFRestart struct {
 // completed iteration's state.
 var ErrSCFInterrupted = errors.New("chem: SCF run interrupted")
 
+// ErrSCFDiverged is wrapped by RunSCF's and RunUHF's error when an
+// iteration's total energy is NaN or infinite: the run stops at that
+// iteration instead of carrying the non-finite state to MaxIter. The
+// returned result still holds the last finite iteration's state.
+var ErrSCFDiverged = errors.New("chem: SCF energy not finite")
+
+// checkFinite returns an error wrapping ErrSCFDiverged when the total
+// energy e of iteration iter is NaN or ±Inf.
+func checkFinite(e float64, iter int) error {
+	if math.IsNaN(e) || math.IsInf(e, 0) {
+		return fmt.Errorf("%w: energy %v at iteration %d", ErrSCFDiverged, e, iter)
+	}
+	return nil
+}
+
 func (o *SCFOptions) setDefaults() {
 	if o.MaxIter == 0 {
 		o.MaxIter = 50
@@ -112,7 +127,8 @@ type FockBuilder func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix
 
 // RunSCF performs a restricted closed-shell Hartree–Fock calculation on
 // mol in basis bs. If build is nil the serial reference Fock builder is
-// used.
+// used. An iteration whose total energy is not finite ends the run with
+// an error wrapping ErrSCFDiverged.
 func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*SCFResult, error) {
 	opts.setDefaults()
 	ne := mol.NumElectrons()
@@ -168,6 +184,9 @@ func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*S
 	for iter := startIter; iter <= opts.MaxIter; iter++ {
 		f := build(w, h, d)
 		eElec := electronicEnergy(d, h, f)
+		if err := checkFinite(eElec+enuc, iter); err != nil {
+			return res, err
+		}
 
 		fDiag := f
 		if diis != nil {

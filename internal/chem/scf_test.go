@@ -1,7 +1,9 @@
 package chem
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"execmodels/internal/linalg"
@@ -256,4 +258,49 @@ func TestBuildFockWorkloadBadBlockSize(t *testing.T) {
 		}
 	}()
 	BuildFockWorkload(bs, 1e-10, 0)
+}
+
+// A Fock builder whose output goes NaN must stop RunSCF at that
+// iteration with ErrSCFDiverged, not run on to MaxIter and report NaN.
+func TestSCFDivergedStopsAtFirstNonFiniteEnergy(t *testing.T) {
+	mol := H2(1.4)
+	bs := mustBasis(t, "sto-3g", mol)
+	calls := 0
+	builder := func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
+		calls++
+		f := w.BuildFock(h, d)
+		f.Set(0, 0, math.NaN())
+		return f
+	}
+	_, err := RunSCF(mol, bs, SCFOptions{MaxIter: 50}, builder)
+	if !errors.Is(err, ErrSCFDiverged) {
+		t.Fatalf("err = %v, want ErrSCFDiverged", err)
+	}
+	if calls != 1 {
+		t.Errorf("builder called %d times, want 1 (stop at iteration 1)", calls)
+	}
+	if !strings.Contains(err.Error(), "iteration 1") {
+		t.Errorf("error %q does not name iteration 1", err)
+	}
+}
+
+// RunUHF has the same divergence stop, through its UHFFockBuilder hook.
+func TestUHFDivergedStopsAtFirstNonFiniteEnergy(t *testing.T) {
+	mol := H2(1.4)
+	bs := mustBasis(t, "sto-3g", mol)
+	calls := 0
+	builder := func(w *FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix) {
+		calls++
+		n := w.Basis.NBF
+		j, kA, kB = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+		j.Set(0, 0, math.Inf(1))
+		return j, kA, kB
+	}
+	_, err := RunUHF(mol, bs, UHFOptions{MaxIter: 50, Builder: builder})
+	if !errors.Is(err, ErrSCFDiverged) {
+		t.Fatalf("err = %v, want ErrSCFDiverged", err)
+	}
+	if calls != 1 {
+		t.Errorf("builder called %d times, want 1 (stop at iteration 1)", calls)
+	}
 }

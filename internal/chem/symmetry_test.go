@@ -148,7 +148,8 @@ func TestSymmetricFockMatchesNaiveDShells(t *testing.T) {
 }
 
 // Unrestricted variant of the naive cross-check: the spin digest must
-// scatter both exchange matrices into all symmetric slots correctly.
+// contract both exchange matrices correctly. Its J/K are symmetrized
+// first, as every Fock assembly does; the naive J/K are symmetric.
 func TestSymmetricSpinJKMatchesNaive(t *testing.T) {
 	mol := Water()
 	bs, err := NewBasis("sto-3g", mol)
@@ -172,6 +173,9 @@ func TestSymmetricSpinJKMatchesNaive(t *testing.T) {
 	for i := range w.Tasks {
 		w.ExecuteTaskSpinScratch(&w.Tasks[i], dTot, dA, dB, j, kA, kB, s)
 	}
+	j.Symmetrize()
+	kA.Symmetrize()
+	kB.Symmetrize()
 	jN, kAN, kBN := NaiveSpinJK(bs, dTot, dA, dB)
 	if diff := j.MaxAbsDiff(jN); diff > 1e-11 {
 		t.Errorf("J differs from naive by %g", diff)
@@ -187,10 +191,11 @@ func TestSymmetricSpinJKMatchesNaive(t *testing.T) {
 	}
 }
 
-// The spin baseline executor (in-worker screening, closure digest) and
-// the arena spin path (generation-time screening, stride digest) must
-// digest the same quartets and agree up to the ERI kernel's summation
-// order (baselineTol).
+// The spin baseline executor (in-worker screening, 8-permutation
+// closure digest) and the arena spin path (generation-time screening,
+// one-pass digest) must digest the same quartets and agree up to the ERI
+// kernel's summation order (baselineTol) once the one-pass J/K are
+// symmetrized.
 func TestExecuteTaskSpinBaselineMatchesScratch(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -211,6 +216,9 @@ func TestExecuteTaskSpinBaselineMatchesScratch(t *testing.T) {
 		if doneF != doneB {
 			t.Fatalf("task %d: %d quartets (scratch) vs %d (baseline)", i, doneF, doneB)
 		}
+		jF.Symmetrize()
+		kAF.Symmetrize()
+		kBF.Symmetrize()
 		if diff := jF.MaxAbsDiff(jB); diff > baselineTol {
 			t.Errorf("task %d: J differs from spin baseline by %g", i, diff)
 		}

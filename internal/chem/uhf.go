@@ -31,7 +31,8 @@ type UHFOptions struct {
 // total density) and the per-spin exchange matrices (against dA and dB)
 // for one unrestricted Fock build. Implementations must be equivalent to
 // the serial ExecuteTaskSpin sweep up to floating-point accumulation
-// order.
+// order; like that sweep, they may return J/K whose symmetric parts are
+// the result, since RunUHF symmetrizes each spin's Fock matrix.
 type UHFFockBuilder func(w *FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix)
 
 func (o *UHFOptions) setDefaults(nElectrons int) error {
@@ -85,7 +86,9 @@ type UHFResult struct {
 }
 
 // RunUHF performs an unrestricted Hartree–Fock calculation: separate α
-// and β orbital sets, Fock matrices F^σ = H + J[Dα+Dβ] − K[Dσ].
+// and β orbital sets, Fock matrices F^σ = H + J[Dα+Dβ] − K[Dσ]. An
+// iteration whose total energy is not finite ends the run with an error
+// wrapping ErrSCFDiverged.
 func RunUHF(mol *Molecule, bs *BasisSet, opts UHFOptions) (*UHFResult, error) {
 	ne := mol.NumElectrons()
 	if err := opts.setDefaults(ne); err != nil {
@@ -152,6 +155,9 @@ func RunUHF(mol *Molecule, bs *BasisSet, opts UHFOptions) (*UHFResult, error) {
 			eElec += dTot.Data[i]*h.Data[i] + dA.Data[i]*fA.Data[i] + dB.Data[i]*fB.Data[i]
 		}
 		eElec *= 0.5
+		if err := checkFinite(eElec+enuc, iter); err != nil {
+			return res, err
+		}
 
 		fDiagA, fDiagB := fA, fB
 		if diisA != nil {

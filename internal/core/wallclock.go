@@ -28,7 +28,9 @@ type WallResult struct {
 // WallSpinResult is the unrestricted counterpart: the merged J/Kα/Kβ
 // matrices of one parallel spin Fock build, with the same executor
 // telemetry as WallResult. The caller (chem.RunUHF via
-// ParallelUHFFockBuilder) assembles the two spin Fock matrices.
+// ParallelUHFFockBuilder) assembles the two spin Fock matrices. The
+// matrices are the merged raw accumulators, whose symmetric parts are
+// J/Kα/Kβ (see chem.FockWorkload.ExecuteTask).
 type WallSpinResult struct {
 	J, KA, KB  *linalg.Matrix
 	Elapsed    time.Duration

@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"execmodels/internal/chem"
 	"execmodels/internal/core"
+	"execmodels/internal/linalg"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -410,5 +412,39 @@ func TestServerHealthz(t *testing.T) {
 	}
 	if out["status"] != "ok" {
 		t.Fatalf("healthz body: %v", out)
+	}
+}
+
+// A job whose SCF energy goes non-finite must end terminally failed with
+// the divergence error, after its first iteration, instead of running
+// to the iteration cap and reporting a NaN energy as done.
+func TestServerDivergedJobFails(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1})
+	var calls atomic.Int32
+	s.newBuilder = func() (chem.FockBuilder, error) {
+		return func(w *chem.FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
+			calls.Add(1)
+			f := w.BuildFock(h, d)
+			f.Set(0, 0, math.NaN())
+			return f
+		}, nil
+	}
+	s.Start()
+	defer s.Drain()
+
+	id, resp := submit(t, ts, `{"tenant":"alice","molecule":"water","basis":"sto-3g"}`)
+	if resp.StatusCode != http.StatusAccepted || id == "" {
+		t.Fatalf("submit: status=%d id=%q", resp.StatusCode, id)
+	}
+	res := waitResult(t, s.store, id, 30*time.Second)
+	if res.Converged || !strings.Contains(res.Error, chem.ErrSCFDiverged.Error()) {
+		t.Fatalf("job result %+v, want a divergence failure", res)
+	}
+	st := getStatus(t, ts, id)
+	if st.State != StateFailed || st.Error == "" {
+		t.Fatalf("status %+v, want failed with an error", st)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("Fock builder ran %d times, want 1", n)
 	}
 }
